@@ -4,16 +4,6 @@ PY ?= python
 # Point-runner processes for figure sweeps; output is byte-identical to
 # a serial run (each point is an independent deterministic simulation).
 JOBS ?= 4
-# Section-fusion escape hatch: `make figures FUSION=off` forces the
-# unfused effect-per-event engine paths.  Output is byte-identical
-# either way (the fused engine's acceptance gate); the knob exists for
-# debugging and A/B timing.
-FUSION ?= on
-# Epoch-batching escape hatch: `make figures EPOCH=off` forces the
-# classic one-heap-pop-per-event loop.  Output is byte-identical either
-# way (the batcher's acceptance gate); the knob exists for debugging
-# and A/B timing of the quiescent-stretch retirer.
-EPOCH ?= on
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
 	serve telemetry-smoke regress profile clean
@@ -109,24 +99,24 @@ regress:
 	$(PY) -m repro.bench regress
 
 figures:
-	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench all --jobs $(JOBS) \
+	$(PY) -m repro.bench all --jobs $(JOBS) \
 		--json figures_full.json | tee figures_full.txt
 
 figures-quick:
-	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench all --quick --plot
+	$(PY) -m repro.bench all --quick --plot
 
 # Re-measure against the committed archive (figures_full.json is reused
 # as the reference, not regenerated).
 compare:
-	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench all --jobs $(JOBS) \
+	$(PY) -m repro.bench all --jobs $(JOBS) \
 		--json /tmp/mpf_after.json >/dev/null && \
 	$(PY) -m repro.bench.compare figures_full.json /tmp/mpf_after.json
 
 # cProfile one figure plus the hottest-effect-label report.
-# `make profile FIG=fig6 FUSION=off` profiles the unfused paths.
+# `make profile FIG=fig6` profiles another figure.
 FIG ?= fig7
 profile:
-	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench profile $(FIG) --quick --top 10
+	$(PY) -m repro.bench profile $(FIG) --quick --top 10
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

@@ -161,13 +161,10 @@ def trace_main(argv: list[str]) -> int:
         if rec.machine:
             ev = rec.machine.get("events", 0)
             pops = rec.machine.get("heap_pops", 0)
-            batches = rec.machine.get("epoch_batches", 0)
             print(f"  heap crossings: {ev:,} events, "
                   f"{rec.machine.get('heap_pushes', 0):,} pushes, "
                   f"{pops:,} pops "
-                  f"({ev / pops if pops else float('inf'):,.1f} events/pop); "
-                  f"{batches:,} epoch batches retiring "
-                  f"{rec.machine.get('epoch_events', 0):,} events")
+                  f"({ev / pops if pops else float('inf'):,.1f} events/pop)")
         if args.causal and rec.causal is not None:
             from ..obs import (
                 detect_stalls, flow_dot, flow_from_causal, format_sojourn,
@@ -278,14 +275,10 @@ def profile_main(argv: list[str]) -> int:
     if crossings is not None and crossings["runs"]:
         ev = crossings["events"]
         pops = crossings["heap_pops"]
-        batches = crossings["epoch_batches"]
         print(f"\nheap crossings ({args.figure}, summed over "
               f"{crossings['runs']} simulations):")
         print(f"  events {ev:,}  heap pushes {crossings['heap_pushes']:,}  "
               f"pops {pops:,}  events/pop {ev / pops if pops else float('inf'):,.1f}")
-        print(f"  epoch batches {batches:,}  epoch events "
-              f"{crossings['epoch_events']:,}  mean batch "
-              f"{crossings['epoch_events'] / batches if batches else 0.0:,.1f}")
     if args.out:
         stats.dump_stats(args.out)
         print(f"wrote {args.out}")

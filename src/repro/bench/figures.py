@@ -97,8 +97,7 @@ def _causal_extras(tracer) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Shared-run sweep runner (the vectorized layer of the epoch-fused
-# engine work).  Several sweeps describe the *same* simulation and
+# Shared-run sweep runner.  Several sweeps describe the *same* simulation and
 # differ only in which columns they report: ablation_transport_fcfs's
 # free-list points are fig4's points re-measured, _bcast's are fig5's,
 # _random's 1024B column is fig6's.  Recorders are observational —

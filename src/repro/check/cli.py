@@ -157,6 +157,10 @@ def _explore(args) -> int:
     print(f"{scenario.name}"
           + (f" fault={args.fault}" if args.fault else "")
           + f" [{args.policy}]: {result.runs} runs in {dt:.2f}s ({counts})")
+    if args.policy == "dfs":
+        # A clean DFS verifies the scenario only if it saw every schedule.
+        print(f"exhausted: {result.runs} schedules" if result.exhausted
+              else f"bounded at {result.runs} schedules")
 
     if result.failure is not None:
         outcome = result.failure

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..core.effects import S_WAKE, Acquire, Charge, FusedSection, Release, Wake
+from ..core.effects import Acquire, Charge, Release, Wake
 from ..core.freelist import fl_alloc
 from ..core.ops import (  # noqa: F401  (private ops internals, on purpose)
     _H_FREE_BLK,
@@ -72,9 +72,6 @@ def drop_wake(gen: Generator) -> Generator:
 
     Models a broken implementation that releases the circuit lock but
     forgets to notify the wait channel — the classic lost-wakeup bug.
-    Fused sections have their ``S_WAKE`` steps stripped the same way;
-    the fusion convention (wake steps are always static members of the
-    yielded tuple, never spliced in later) makes them visible here.
     """
     value = None
     try:
@@ -82,12 +79,6 @@ def drop_wake(gen: Generator) -> Generator:
             effect = gen.send(value)
             if isinstance(effect, Wake):
                 value = None  # swallowed: the injected bug
-            elif isinstance(effect, FusedSection) and any(
-                s[0] == S_WAKE for s in effect.steps
-            ):
-                value = yield FusedSection(tuple(
-                    s for s in effect.steps if s[0] != S_WAKE
-                ))
             else:
                 value = yield effect
     except StopIteration as stop:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 from ..core.costmodel import DEFAULT_COSTS
 from ..core.errors import DeadlockSuspectedError, MPFError
 from ..core.layout import SegmentLayout, format_region
-from ..core.ops import MPFView, fusion_enabled
+from ..core.ops import MPFView
 from ..core.region import SharedRegion
 from ..machine.engine import DeadlockError, Engine, SimulationError, ZeroTimingModel
 from ..runtime.base import Env
@@ -196,12 +196,6 @@ def run_schedule(
     region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
     layout = format_region(region, cfg)
     view = MPFView(region, layout, DEFAULT_COSTS)
-    # Fusion stays on under the controlled scheduler: the engine parks
-    # every fused step as its own heap event there, so the policy sees
-    # the identical choice points (and decision traces replay) either
-    # way — while the checker exercises the same fused code paths the
-    # figure runs use.
-    view.fuse = fusion_enabled()
     probe = SteadyProbe(view) if check_steady else None
     ctl = ControlledPolicy(policy, probe=probe)
     engine = Engine(
@@ -278,6 +272,9 @@ class ExploreResult:
     #: First failing outcome, with the policy parameters that found it.
     failure: Outcome | None = None
     failure_seed: int | None = None
+    #: True when a DFS enumerated every schedule of the scenario, i.e.
+    #: the space was exhausted rather than cut off at ``max_runs``.
+    exhausted: bool = False
 
     @property
     def found(self) -> bool:
@@ -352,7 +349,8 @@ def explore_dfs(
         while i >= 0 and d[i] + 1 >= w[i]:
             i -= 1
         if i < 0:
-            break  # space exhausted
+            res.exhausted = True
+            break
         prefix = d[:i] + [d[i] + 1]
     return res
 

@@ -31,7 +31,7 @@ it returns only after a message has been received").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .work import Work
 
@@ -42,59 +42,8 @@ __all__ = [
     "ChargeMany",
     "WaitOn",
     "Wake",
-    "FusedSection",
     "Effect",
-    "steps_horizon",
-    "S_CHARGE",
-    "S_MANY",
-    "S_ACQ",
-    "S_REL",
-    "S_WAKE",
-    "S_CALL",
-    "D_RESULT",
-    "D_SPLICE",
-    "D_RESULT_SPLICE",
-    "D_BAIL",
 ]
-
-# -- fused-section step opcodes and call directives -------------------------
-#
-# A FusedSection's ``steps`` are small ``(opcode, arg)`` tuples.  Plain
-# ints (not an Enum) keep the simulator's per-step dispatch at a couple of
-# machine comparisons — these run once per protocol step, millions of
-# times per figure sweep.
-
-#: ``(S_CHARGE, work)`` — one :class:`Charge` event.
-S_CHARGE = 0
-#: ``(S_MANY, works)`` — one :class:`ChargeMany` event (compute-only parts).
-S_MANY = 1
-#: ``(S_ACQ, lock_id)`` — one :class:`Acquire` event (may block).
-S_ACQ = 2
-#: ``(S_REL, lock_id)`` — one :class:`Release` event.
-S_REL = 3
-#: ``(S_WAKE, chan)`` — one :class:`Wake` event.
-S_WAKE = 4
-#: ``(S_CALL, fn)`` — run ``fn()`` at the current instant (no event, no
-#: simulated time): the generator-body code that would execute between
-#: two yields in the unfused sequence.  ``fn`` returns ``None`` or a
-#: directive tuple (below).
-S_CALL = 5
-
-#: ``(D_RESULT, value)`` — set the section's result (sent into the
-#: generator when the section completes).
-D_RESULT = 0
-#: ``(D_SPLICE, steps)`` — splice more steps right after the call;
-#: how a body whose continuation depends on shared state (list walks,
-#: retirement reaps) extends the section it is part of.
-D_SPLICE = 1
-#: ``(D_RESULT_SPLICE, value, steps)`` — both at once.
-D_RESULT_SPLICE = 2
-#: ``(D_BAIL, value)`` — abandon the remaining steps and resume the
-#: generator *now* with ``value``.  The fusion guard: any precondition
-#: the fused fast path cannot handle (queue empty and a WaitOn must
-#: fire, a validation error, a full ring) bails back to the generator's
-#: classic unfused code with all acquired locks still held.
-D_BAIL = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,107 +118,4 @@ class Wake:
     chan: int
 
 
-@dataclass(frozen=True, slots=True)
-class FusedSection:
-    """An entire protocol section retired as one effect (sim engine only).
-
-    ``steps`` is a tuple of ``(opcode, arg)`` pairs (see the ``S_*``
-    constants above): the acquire + fixed charges + list/copy work +
-    release of one uncontended protocol step, interleaved with
-    ``S_CALL`` closures holding the generator-body code that runs
-    between the unfused yields.  The simulated engine executes the
-    whole section inline while no other process can interact — same
-    events, same clock arithmetic, same recorder/trace stream as the
-    unfused sequence, but one generator round-trip instead of ~10 —
-    and falls back to event-at-a-time stepping on lock contention, in
-    controlled-scheduler runs, or when a call bails (``D_BAIL``).
-
-    Conventions that keep fused and unfused runs byte-identical:
-
-    * Only the sim engine sees this effect.  Primitives consult
-      ``view.fuse`` (set by :class:`~repro.runtime.sim.SimRuntime` and
-      the model checker only) and yield classic effects on the real
-      runtimes — and when ``MPF_FUSION=off``.
-    * ``S_WAKE`` steps must appear *statically* in ``steps`` as yielded
-      — never introduced by a splice — so fault injectors
-      (:func:`repro.check.faults.drop_wake`) can strip them; a wake
-      whose firing is conditional stays a classic :class:`Wake` yield.
-    * Copy charges (``copy_bytes > 0``) are allowed: the engine opens
-      and closes the bus-tracking copy phase at the same instants as
-      the unfused charge.
-    """
-
-    steps: tuple
-    #: Memoized :func:`steps_horizon` of ``steps`` (lazy; excluded from
-    #: equality/hash so memoized sections stay interchangeable).
-    _hzn: object = field(default=None, compare=False, repr=False)
-    #: Priced-horizon memo owned by the sim engine's epoch batcher
-    #: (``machine/engine.py``): ``(analytic_key, parts, stop_idx,
-    #: base_dts, base_total)`` where ``base_dts`` are the horizon parts'
-    #: un-oversubscribed durations under ``analytic_key``'s timing
-    #: constants.  Keyed by the timing model's ``analytic_charge`` tuple
-    #: (identity-checked) so a section can never be replayed under
-    #: constants it was not priced for.
-    _priced: object = field(default=None, compare=False, repr=False)
-
-    def contention_horizon(self):
-        """The section's analytically-priceable prefix, memoized.
-
-        Returns ``(parts, stop_idx, stop_op)`` — see :func:`steps_horizon`.
-        Sections are cached per ``(slot, pid)`` in ``core/ops.py`` /
-        ``core/transport.py`` and reused across millions of events, so
-        the flattening runs once per cached section, not once per send.
-        The memo only ever describes the *static* ``steps`` tuple: a
-        spliced continuation replaces the interpreter's local steps
-        list, never this object's field.
-        """
-        h = self._hzn
-        if h is None:
-            h = steps_horizon(self.steps)
-            object.__setattr__(self, "_hzn", h)
-        return h
-
-
-def steps_horizon(steps: tuple, idx: int = 0):
-    """Flatten the pure-compute prefix of a fused-section step list.
-
-    Scans ``steps`` from ``idx`` collecting ``S_CHARGE``/``S_MANY`` parts
-    whose :class:`~repro.core.work.Work` is instruction/flop-only —
-    exactly the work the engine can price with the closed-form
-    expression ``instrs*t_instr + flops*t_flop`` (× the oversubscription
-    stretch), bit-for-bit what ``BalanceTiming.price`` computes for it.
-    The scan stops at the first step that can interact with anything
-    outside the process: a lock acquire/release, a wake, a call (whose
-    directive may splice), or a charge carrying ``copy_bytes`` /
-    ``blocks`` / ``page_bytes`` (stateful bus/cache/VM inputs).
-
-    Returns ``(parts, stop_idx, stop_op)`` where ``parts`` is the flat
-    tuple of :class:`Work` parts (one simulated event each — the flat
-    length IS the event count, since ``S_MANY`` with ``k`` parts retires
-    ``k`` events), ``stop_idx`` indexes the first unconsumed step, and
-    ``stop_op`` is its opcode (``None`` if the section ends first).
-    This is the "contention horizon" of the epoch batcher
-    (``machine/engine.py``): until ``stop_idx`` the process provably
-    cannot contend, so its timeline may be advanced in one batch.
-    """
-    parts: list = []
-    i = idx
-    n = len(steps)
-    while i < n:
-        op, arg = steps[i]
-        if op == S_CHARGE:
-            if arg.copy_bytes or arg.blocks or arg.page_bytes:
-                break
-            parts.append(arg)
-        elif op == S_MANY:
-            if not arg or any(
-                    w.copy_bytes or w.blocks or w.page_bytes for w in arg):
-                break
-            parts.extend(arg)
-        else:
-            break
-        i += 1
-    return tuple(parts), i, (steps[i][0] if i < n else None)
-
-
-Effect = Acquire | Release | Charge | ChargeMany | WaitOn | Wake | FusedSection
+Effect = Acquire | Release | Charge | ChargeMany | WaitOn | Wake

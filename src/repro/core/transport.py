@@ -51,16 +51,10 @@ from __future__ import annotations
 from typing import Generator, Iterable
 
 from .effects import (
-    D_BAIL,
-    D_RESULT_SPLICE,
-    S_CALL,
-    S_CHARGE,
-    S_MANY,
     Acquire,
     Charge,
     ChargeMany,
     Effect,
-    FusedSection,
     Release,
     Wake,
 )
@@ -759,57 +753,6 @@ def _count_ready(view, lay, u32, base: int, desc: int, nslots: int) -> int:
     return count
 
 
-def _make_ring_check_section(view, slot, pid, gen, lnvc_id):
-    """Build a :func:`ring_check` fused-section cache entry.
-
-    Same entry shape as ``ops._make_check_section`` — ``[gen,
-    walk_closure, section, prelude_obj, prelude_section]`` — and stored
-    in the same ``view._fs_check_cache`` (a (slot, gen) pair has exactly
-    one transport, so the generation check that invalidates stale
-    entries also routes rebuilds to the right factory).
-    """
-    r = view.region
-    u32 = r.u32
-    c = view.costs
-    lay = view.layout
-    base = lay.lnvc_off(slot)
-    recv_cache = view._recv_cache
-    rkey = (slot, pid)
-    fs_walk = view._fs_check_walk
-    fs_rel = view._fs_rel[slot]
-    nslots = view.cfg.ring_slots
-
-    def _walk():
-        if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
-            try:
-                view.resolve(lnvc_id)  # raises with the precise message
-            except UnknownLNVCError as exc:
-                return (D_BAIL, exc)
-        epoch = u32(base + _L_CONN_EPOCH)
-        hit = recv_cache.get(rkey)
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            desc = hit[0]
-            steps = hit[1]
-        else:
-            desc, steps = _find_recv(view, base, pid)
-            if desc == NIL:
-                return (D_BAIL, NotConnectedError(
-                    f"pid {pid} holds no receive connection here"))
-            recv_cache[rkey] = (desc, steps, gen, epoch)
-        count = _count_ready(view, lay, u32, base, desc, nslots)
-        walked = steps + count
-        wstep = fs_walk[walked] if walked < 8 else (
-            S_CHARGE, Work(instrs=walked * c.list_step, label="check-walk"))
-        return (D_RESULT_SPLICE, count, (wstep, fs_rel))
-
-    section = FusedSection(
-        (view._fs_check_fixed, view._fs_acq[slot], (S_CALL, _walk))
-    )
-    # Warm the epoch batcher's horizon memo with the cached section.
-    section.contention_horizon()
-    return [gen, _walk, section, None, None]
-
-
 def ring_check(view, pid: int, lnvc_id: int,
                prelude: Work | None = None) -> OpGen:
     """check_receive over the ring transport (advisory, as ever for FCFS)."""
@@ -821,30 +764,6 @@ def ring_check(view, pid: int, lnvc_id: int,
     gen = lnvc_id >> _SLOT_BITS
     in_table = slot < view.cfg.max_lnvcs
     lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
-
-    if view.fuse and in_table:
-        # Fused fast path, the ring twin of ops.check_receive's: entry
-        # charge, acquire, then the validate/walk/charge/release tail as
-        # one effect, with cached per-connection closures.
-        ckey = (slot, pid)
-        ent = view._fs_check_cache.get(ckey)
-        if ent is None or ent[0] != gen:
-            ent = _make_ring_check_section(view, slot, pid, gen, lnvc_id)
-            view._fs_check_cache[ckey] = ent
-        if prelude is None:
-            section = ent[2]
-        elif prelude is ent[3]:
-            section = ent[4]
-        else:
-            section = FusedSection(((S_MANY, (prelude, view._check_fixed_work)),
-                                    view._fs_acq[slot], (S_CALL, ent[1])))
-            section.contention_horizon()
-            ent[3] = prelude
-            ent[4] = section
-        res = yield section
-        if res.__class__ is int:
-            return res
-        yield from _release_and_raise([lock], res)
 
     if prelude is None:
         yield view._check_fixed

@@ -34,8 +34,6 @@ def enable_report_profile() -> dict[str, int]:
         "events": 0,
         "heap_pushes": 0,
         "heap_pops": 0,
-        "epoch_batches": 0,
-        "epoch_events": 0,
     }
     return _REPORT_PROF
 
@@ -75,16 +73,12 @@ class MachineReport:
     cache_stall_seconds: float
     #: Event-heap crossings: how many events actually travelled through
     #: the heap (push + pop) versus being retired inline by the
-    #: pending-resume slot or the epoch batcher.  ``events / heap_pops``
-    #: is the events-retired-per-pop ratio — the jitter-proof evidence
-    #: that batching removed scheduler traffic (wall clocks drift with
+    #: pending-resume slot.  ``events / heap_pops`` is the
+    #: events-retired-per-pop ratio — the jitter-proof evidence of how
+    #: much scheduler traffic the slot removed (wall clocks drift with
     #: machine load; these counters are deterministic).
     heap_pushes: int = 0
     heap_pops: int = 0
-    #: Epoch batches entered and events retired inside them; their ratio
-    #: is the mean quiescent-stretch (batch) size.
-    epoch_batches: int = 0
-    epoch_events: int = 0
 
     def as_dict(self) -> dict[str, float]:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -99,8 +93,6 @@ def collect_report(engine: Engine, timing: BalanceTiming) -> MachineReport:
         prof["events"] += s.events
         prof["heap_pushes"] += s.heap_pushes
         prof["heap_pops"] += s.heap_pops
-        prof["epoch_batches"] += s.epoch_batches
-        prof["epoch_events"] += s.epoch_events
     return MachineReport(
         sim_seconds=engine.now,
         events=engine.stats.events,
@@ -118,6 +110,4 @@ def collect_report(engine: Engine, timing: BalanceTiming) -> MachineReport:
         cache_stall_seconds=timing.cache.stall_time,
         heap_pushes=engine.stats.heap_pushes,
         heap_pops=engine.stats.heap_pops,
-        epoch_batches=engine.stats.epoch_batches,
-        epoch_events=engine.stats.epoch_events,
     )

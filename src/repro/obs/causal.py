@@ -237,10 +237,12 @@ class CausalTracer:
                 length: int, depth: int, discard: int = 0) -> None:
         """Message header returned to the free list."""
         if self._pending is not None:
-            # The fused receive path reaps a just-retired message inside
-            # the same section, *before* its own recv hook fires — so a
-            # freed entry lingers briefly in a small grace buffer instead
-            # of vanishing, keeping the e2e sketch complete.
+            # message_receive reaps the retired head (_reap_head) before
+            # its own on_recv hook fires, so the last receiver of a
+            # message frees it first.  A freed entry therefore lingers
+            # briefly in a small grace buffer instead of vanishing, so
+            # on_recv still finds the send time and the e2e sketch stays
+            # complete.
             t0 = self._pending.pop((slot, gen, seqno), None)
             if t0 is not None:
                 g = self._grace

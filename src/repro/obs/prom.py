@@ -107,9 +107,6 @@ def prometheus_exposition(rec: "Recorder") -> str:
                             "(pushes)."),
             ("heap_pops", "Events that travelled through the event heap "
                           "(pops)."),
-            ("epoch_batches", "Quiescent cross-process epoch batches "
-                              "entered."),
-            ("epoch_events", "Events retired inside epoch batches."),
         ):
             if key in machine:
                 w.metric(f"mpf_engine_{key}_total", "counter", help_,

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 from ..core.protocol import ALLOC_LOCK, FIRST_LNVC_LOCK, GLOBAL_LOCK
 
-__all__ = ["Histogram", "LockStats", "WorkStats", "Span", "Recorder", "lock_name"]
+__all__ = ["Histogram", "LockStats", "WorkStats", "Span", "Recorder",
+           "lock_name", "log2_us_bucket"]
 
 
 def lock_name(lock_id: int) -> str:
@@ -47,11 +48,23 @@ def lock_name(lock_id: int) -> str:
     return f"lnvc{lock_id - FIRST_LNVC_LOCK}"
 
 
+def log2_us_bucket(seconds: float) -> int:
+    """Log₂ microsecond bucket of a duration.
+
+    Bucket ``b`` holds durations in ``(2**(b-1), 2**b]`` microseconds;
+    bucket 0 holds everything at or below 1 µs.  Shared by
+    :class:`Histogram` and the timeline digests so their buckets agree.
+    """
+    us = seconds * 1e6
+    return 0 if us <= 1.0 else int(math.ceil(math.log2(us)))
+
+
 class Histogram:
     """Log₂-bucketed duration histogram (microsecond scale).
 
-    Bucket ``b`` counts durations in ``(2**(b-1), 2**b]`` microseconds;
-    bucket 0 collects everything at or below 1 µs.  Log buckets keep the
+    Buckets are those of :func:`log2_us_bucket`: bucket ``b`` counts
+    durations in ``(2**(b-1), 2**b]`` microseconds; bucket 0 collects
+    everything at or below 1 µs.  Log buckets keep the
     histogram tiny while separating the decades that matter (an
     uncontended acquire, a contended wait, a descheduled process).
     """
@@ -62,8 +75,7 @@ class Histogram:
         self.counts: dict[int, int] = dict(counts or {})
 
     def add(self, seconds: float) -> None:
-        us = seconds * 1e6
-        b = 0 if us <= 1.0 else int(math.ceil(math.log2(us)))
+        b = log2_us_bucket(seconds)
         self.counts[b] = self.counts.get(b, 0) + 1
 
     def merge(self, counts: dict[int, int]) -> None:
@@ -213,8 +225,8 @@ class Recorder:
         self.kinds: dict[str, Counter] = {}
         self.chan_waits: Counter = Counter()
         self.chan_wait_seconds: float = 0.0
-        #: Simulated-engine counters (events, heap crossings, epoch
-        #: batches) accumulated by SimRuntime after each run.
+        #: Simulated-engine counters (events, heap crossings)
+        #: accumulated by SimRuntime after each run.
         self.machine: dict[str, int] = {}
         self._merge_mutex = threading.Lock()
         if causal:

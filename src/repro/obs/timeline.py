@@ -38,6 +38,7 @@ import threading
 import time
 
 from ..core.protocol import ALLOC_LOCK, FIRST_LNVC_LOCK, GLOBAL_LOCK
+from .recorder import log2_us_bucket as _bucket
 
 __all__ = ["Timeline", "digest_quantile", "merge_timelines"]
 
@@ -48,12 +49,6 @@ def _lock_series(lock_id: int) -> str:
     if lock_id == ALLOC_LOCK:
         return "lock:alloc"
     return f"lock:lnvc{lock_id - FIRST_LNVC_LOCK}"
-
-
-def _bucket(seconds: float) -> int:
-    """Log₂ microsecond bucket; matches ``Histogram.add`` exactly."""
-    us = seconds * 1e6
-    return 0 if us <= 1.0 else int(math.ceil(math.log2(us)))
 
 
 def digest_quantile(counts: dict[int, int], q: float) -> float:

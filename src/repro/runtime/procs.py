@@ -10,8 +10,9 @@ Unix processes.
 
 Requires the ``fork`` start method (workers may be closures and inherit
 the open segment); the runtime raises a clear error on platforms without
-it.  Worker return values travel back over a ``SimpleQueue`` and must be
-picklable.
+it.  Worker return values travel back over a pipe and must be picklable.
+A worker that dies without reporting (killed by a signal, ``os._exit``)
+fails the run with an error naming it and its exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 from typing import Sequence
 
 from ..core.costmodel import Costs, DEFAULT_COSTS
@@ -62,13 +64,22 @@ class ProcRuntime(Runtime):
         cfg = self.default_config(nprocs, cfg)
         names = self.process_names(nprocs, names)
 
+        # Result channel: one pipe shared by every child, writes
+        # serialized by a lock (what SimpleQueue does internally).  The
+        # raw reader lets the parent wait on it together with the
+        # children's exit sentinels.
+        reader, writer = ctx.Pipe(duplex=False)
+        wlock = ctx.Lock()
         shm = shared_memory.SharedMemory(create=True, size=SegmentLayout(cfg).total_size)
         region = SharedRegion(shm.buf)
         try:
             layout = format_region(region, cfg)
             view = MPFView(region, layout, costs)
             sync = RealSync(cfg, ctx.Lock, ctx.Condition)
-            outq = ctx.SimpleQueue()
+
+            def report(msg) -> None:
+                with wlock:
+                    writer.send(msg)
 
             t0 = time.perf_counter()
             clock = lambda: time.perf_counter() - t0  # noqa: E731
@@ -98,11 +109,11 @@ class ProcRuntime(Runtime):
                 try:
                     value = drive(worker(env), sync, recorder=rec,
                                   process=name, clock=clock)
-                    outq.put((name, True, value,
-                              rec.snapshot() if rec else None))
+                    report((name, True, value,
+                            rec.snapshot() if rec else None))
                 except BaseException as exc:
-                    outq.put((name, False, repr(exc),
-                              rec.snapshot() if rec else None))
+                    report((name, False, repr(exc),
+                            rec.snapshot() if rec else None))
 
             procs = [
                 ctx.Process(target=body, args=(n, i, w), name=n, daemon=True)
@@ -114,17 +125,31 @@ class ProcRuntime(Runtime):
             results: dict[str, object] = {}
             failures: dict[str, str] = {}
             snapshots: dict[str, dict] = {}
+            dead: dict[str, int] = {}
+            pending = {p.name: p for p in procs}
             deadline = None if self.join_timeout is None else t0 + self.join_timeout
-            for _ in procs:
-                if deadline is not None and time.perf_counter() > deadline:
-                    break
-                name, ok, payload, snap = outq.get()
-                if snap is not None:
-                    snapshots[name] = snap
-                if ok:
-                    results[name] = payload
-                else:
-                    failures[name] = payload
+            while pending and not dead:
+                timeout = None
+                if deadline is not None:
+                    timeout = deadline - time.perf_counter()
+                    if timeout <= 0:
+                        break
+                wait([reader] + [p.sentinel for p in pending.values()], timeout)
+                if reader.poll():
+                    # Reports are read before exits are judged: a worker
+                    # writes its report in full before it exits.
+                    name, ok, payload, snap = reader.recv()
+                    pending.pop(name, None)
+                    if snap is not None:
+                        snapshots[name] = snap
+                    if ok:
+                        results[name] = payload
+                    else:
+                        failures[name] = payload
+                    continue
+                for name, p in pending.items():
+                    if p.exitcode is not None:
+                        dead[name] = p.exitcode
             for p in procs:
                 p.join(1.0)
                 if p.is_alive():
@@ -136,6 +161,12 @@ class ProcRuntime(Runtime):
                 for name in names:  # deterministic merge order
                     if name in snapshots:
                         self.recorder.merge(snapshots[name])
+            if dead:
+                name = sorted(dead)[0]
+                raise RuntimeError(
+                    f"worker {name!r} died without reporting "
+                    f"(exit code {dead[name]})"
+                )
             if failures:
                 name = sorted(failures)[0]
                 raise RuntimeError(f"worker {name!r} failed: {failures[name]}")
@@ -147,6 +178,8 @@ class ProcRuntime(Runtime):
                 header=header,
             )
         finally:
+            reader.close()
+            writer.close()
             region.release()
             shm.close()
             shm.unlink()

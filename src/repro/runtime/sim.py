@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ..core.costmodel import Costs, DEFAULT_COSTS
 from ..core.layout import HDR, MPFConfig, SegmentLayout, format_region
-from ..core.ops import MPFView, fusion_enabled
+from ..core.ops import MPFView
 from ..core.region import SharedRegion
 from ..machine.balance import BALANCE_21000, MachineConfig
 from ..machine.cpu import BalanceTiming
@@ -35,15 +35,10 @@ class SimRuntime(Runtime):
         trace=None,
         until: float | None = None,
         recorder=None,
-        fusion: bool | None = None,
     ) -> None:
         self.machine = machine
         self._trace = trace
         self._until = until
-        #: Section fusion override: ``None`` follows the module default
-        #: (:func:`repro.core.ops.fusion_enabled`, MPF_FUSION env knob);
-        #: tests pass an explicit bool for fused-vs-unfused A/B runs.
-        self.fusion = fusion
         #: Optional :class:`repro.obs.Recorder` fed simulated-time
         #: metrics (lock wait/hold, per-label charges) during runs.
         self.recorder = recorder
@@ -65,7 +60,6 @@ class SimRuntime(Runtime):
         region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
         layout = format_region(region, cfg)
         view = MPFView(region, layout, costs)
-        view.fuse = fusion_enabled() if self.fusion is None else self.fusion
 
         timing = BalanceTiming(self.machine, costs)
         timing.vm.set_demand_source(lambda: HDR.get(region, "live_bytes"))
@@ -111,8 +105,7 @@ class SimRuntime(Runtime):
             # recorder so the Prometheus exposition and bench trace can
             # report them without holding the engine itself.
             m = self.recorder.machine
-            for k in ("events", "heap_pushes", "heap_pops",
-                      "epoch_batches", "epoch_events"):
+            for k in ("events", "heap_pushes", "heap_pops"):
                 m[k] = m.get(k, 0) + getattr(report, k)
         return RunResult(
             results=engine.results(),

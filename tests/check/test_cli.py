@@ -19,6 +19,14 @@ def test_explore_clean_exits_zero(capsys):
     assert "ok: 20" in capsys.readouterr().out
 
 
+def test_explore_dfs_reports_bounded_search(capsys):
+    assert main(["explore", "--scenario", "fcfs-race", "--seeds", "12",
+                 "--policy", "dfs"]) == 0
+    out = capsys.readouterr().out
+    assert "bounded at 12 schedules" in out
+    assert "exhausted" not in out
+
+
 def test_explore_clean_with_expect_fail_exits_one(capsys):
     assert main(["explore", "--scenario", "fcfs-race", "--seeds", "5",
                  "--expect-fail"]) == 1

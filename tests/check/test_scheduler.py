@@ -9,11 +9,14 @@ from repro.check import (
     BoundedPolicy,
     PrefixPolicy,
     RandomPolicy,
+    Scenario,
     explore,
     explore_dfs,
     run_schedule,
     run_threads,
 )
+from repro.core.layout import MPFConfig
+from repro.core.protocol import Protocol
 
 
 def test_same_seed_same_schedule():
@@ -78,6 +81,52 @@ def test_dfs_explores_distinct_schedules():
     assert result.failure is None
     assert result.runs == len(seen) == 12
     assert len(set(seen)) == 12  # DFS never repeats a schedule
+
+
+def _one_message_scenario() -> Scenario:
+    """Two workers, one send and one receive: small enough to exhaust.
+
+    Every event both workers could take at the same instant is a DFS
+    decision, so a sender and receiver on different workers already span
+    more than 10**5 schedules.  Here one worker sends to itself while
+    the other does one compute step, which keeps the space near 1,400.
+    """
+
+    def echo(env):
+        cid = yield from env.open_send("loop")
+        rid = yield from env.open_receive("loop", Protocol.FCFS)
+        yield from env.message_send(cid, b"x")
+        got = yield from env.message_receive(rid)
+        yield from env.close_receive(rid)
+        yield from env.close_send(cid)
+        return bytes(got)
+
+    def idle(env):
+        yield from env.compute(instrs=1)
+        return "idle"
+
+    return Scenario(
+        name="one-message",
+        doc="one send and one receive beside an idle worker",
+        cfg=MPFConfig(max_lnvcs=2, max_processes=2, max_messages=4,
+                      message_pool_bytes=1 << 10),
+        build=lambda fault: [echo, idle],
+        oracle=lambda res: [] if res["p0"] == b"x" else [f"got {res['p0']!r}"],
+    )
+
+
+def test_dfs_exhausts_small_space():
+    result = explore_dfs(_one_message_scenario(), max_runs=5_000)
+    assert result.failure is None
+    assert result.exhausted
+    assert 1 < result.runs < 5_000
+    assert result.by_status == {"ok": result.runs}
+
+
+def test_dfs_bounded_is_not_exhausted():
+    result = explore_dfs(SCENARIOS["fcfs-race"], max_runs=12)
+    assert result.runs == 12
+    assert not result.exhausted
 
 
 def test_bounded_policy_respects_bound():

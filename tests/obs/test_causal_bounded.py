@@ -1,5 +1,5 @@
 """Bounded causal tracing (``causal_max_events=N``): stride sampling,
-the exact e2e latency sketch, and the fused-receive grace buffer."""
+the exact e2e latency sketch, and the reap-before-recv grace buffer."""
 
 import pytest
 
@@ -81,10 +81,10 @@ def test_e2e_requires_bounded_mode():
 
 
 def test_grace_buffer_pairs_fused_reaps():
-    # Under the fused sim engine the reap of a just-retired message can
-    # fire on_free before the section-end on_recv; the grace buffer must
-    # still pair those deliveries into e2e samples.  Compare against the
-    # delivered count rather than an exact event interleaving.
+    # message_receive reaps a just-retired message (on_free) before its
+    # own on_recv fires; the grace buffer must still pair those
+    # deliveries into e2e samples.  Compare against the delivered count
+    # rather than an exact event interleaving.
     tracer = run_bounded(32)
     orphans = getattr(tracer, "_orphans", None)
     assert not orphans  # every recv found its send timestamp

@@ -5,7 +5,10 @@ loss-free joining discipline of :mod:`repro.patterns` wherever a circuit
 must outlive its sender.
 """
 
+import os
+import signal
 import sys
+import time
 
 import pytest
 
@@ -158,6 +161,32 @@ def test_procs_worker_failure_reported():
 
     with pytest.raises(RuntimeError, match="proc bug"):
         ProcRuntime(join_timeout=30).run([bad])
+
+
+def _shm_segments():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def test_procs_dead_worker_fails_bounded():
+    """A worker killed before it reports fails the run within the join
+    timeout, naming the worker and its exit code, and the segment is
+    still unlinked."""
+
+    def ok(env):
+        yield from env.compute(instrs=1)
+        return "fine"
+
+    def die(env):
+        yield from env.compute(instrs=1)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    join_timeout = 3.0
+    before = _shm_segments()
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"'p1' died .*exit code -9"):
+        ProcRuntime(join_timeout=join_timeout).run([ok, die])
+    assert time.monotonic() - t0 < join_timeout + 5
+    assert _shm_segments() - before == set()
 
 
 def test_cross_runtime_parity():
