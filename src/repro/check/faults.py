@@ -61,7 +61,6 @@ from ..core.ops import (
     _M_SEQNO,
 )
 from ..core.protocol import ALLOC_LOCK, NIL
-from ..core.structs import BLK_NEXT
 from ..core.work import Work
 
 __all__ = ["FAULTS", "drop_wake", "unlocked_send"]
@@ -112,23 +111,15 @@ def unlocked_send(view: MPFView, pid: int, lnvc_id: int, data: bytes) -> OpGen:
     yield Acquire(ALLOC_LOCK)
     hdr = fl_alloc(r, _H_FREE_MSG)
     assert hdr != NIL, "fault scenarios must size the pool generously"
-    blocks: list[int] = []
-    blk = u32(_H_FREE_BLK)
-    while len(blocks) < nblk and blk != NIL:
-        blocks.append(blk)
-        blk = u32(blk + BLK_NEXT)
+    blocks = view.chains.pop(_H_FREE_BLK, nblk)
     assert len(blocks) == nblk, "fault scenarios must size the pool generously"
-    set_u32(_H_FREE_BLK, blk)
     r.add_u32(_H_LIVE_MSGS, 1)
     r.add_u32(_H_LIVE_BLOCKS, nblk)
     r.add_u32(_H_LIVE_BYTES, length)
     yield Release(ALLOC_LOCK)
 
     # Phase 2: fill the private chain (correct: blocks are still private).
-    last = nblk - 1
-    for i, b in enumerate(blocks):
-        set_u32(b + BLK_NEXT, blocks[i + 1] if i < last else NIL)
-        r.write(b + 4, data[i * bs : min((i + 1) * bs, length)])
+    view.chains.fill(blocks, data)
 
     # Phase 3: link at the FIFO tail -- THE BUG: no circuit lock, and a
     # scheduler yield splits the read-tail / write-link critical section.

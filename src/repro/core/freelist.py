@@ -25,9 +25,10 @@ from functools import lru_cache
 from .protocol import NIL
 from .region import SharedRegion
 
-__all__ = ["init_freelist", "fl_alloc", "fl_free", "fl_count"]
+__all__ = ["BlockChains", "init_freelist", "fl_alloc", "fl_free", "fl_count"]
 
 _U32 = struct.Struct("<I")
+_BAD_OFFSET = (struct.error, ValueError)
 
 
 @lru_cache(maxsize=8)
@@ -107,3 +108,117 @@ def fl_count(region: SharedRegion, head_off: int, limit: int = 1 << 32) -> int:
             raise RuntimeError("free list cycle detected")
         off = region.u32(off)
     return n
+
+
+class BlockChains:
+    """Whole-block moves of message chains in one region.
+
+    A message block is a u32 ``next`` link followed by ``block_size``
+    data bytes (paper §3.1).  Every helper here moves a block with one
+    C-level ``struct`` call on the region's memoryview, where copying
+    through the region's accessors costs two or three Python calls per
+    block; that per-block list and copy work is what the paper's cost
+    decomposition charges, and it dominates host time the same way.
+
+    A partial last block is written and read only up to the payload's
+    end, so the stale bytes past it stay as the previous owner left them.
+
+    No helper locks: callers hold ``ALLOC_LOCK`` (or a shard lock)
+    around :meth:`pop` and :meth:`free`, and :meth:`fill` /
+    :meth:`drain` touch only a chain the caller owns.  A link that
+    points outside the region raises :class:`IndexError` naming the bad
+    block offset, as the region's own accessors do.
+    """
+
+    __slots__ = ("_mv", "_size", "_bs", "_blk")
+
+    def __init__(self, region: SharedRegion, block_size: int) -> None:
+        self._mv = region._mv
+        self._size = region.size
+        self._bs = block_size
+        self._blk = struct.Struct(f"<I{block_size}s")
+
+    def _bad(self, blk: int) -> IndexError:
+        return IndexError(
+            f"message block at {blk} outside region of {self._size}")
+
+    def pop(self, head_off: int, n: int) -> list[int]:
+        """Pop up to ``n`` blocks off the list headed at ``head_off``.
+
+        Returns them in list order; fewer than ``n`` means the list ran
+        dry (it is then empty).  The popped blocks' links are untouched,
+        so writing ``blocks[0]`` back to the head undoes the pop.
+        """
+        mv = self._mv
+        unpack_from = _U32.unpack_from
+        blocks: list[int] = []
+        blk = unpack_from(mv, head_off)[0]
+        try:
+            while n and blk != NIL:
+                blocks.append(blk)
+                blk = unpack_from(mv, blk)[0]
+                n -= 1
+        except _BAD_OFFSET:
+            raise self._bad(blk) from None
+        _U32.pack_into(mv, head_off, blk)
+        return blocks
+
+    def fill(self, blocks: list[int], data: bytes) -> None:
+        """Link ``blocks`` into a NIL-terminated chain holding ``data``."""
+        if not blocks:
+            return
+        mv = self._mv
+        bs = self._bs
+        pack_into = self._blk.pack_into
+        try:
+            for blk, nxt, off in zip(blocks, blocks[1:], range(0, len(data), bs)):
+                pack_into(mv, blk, nxt, data[off : off + bs])
+            blk = blocks[-1]
+            tail = data[(len(blocks) - 1) * bs :]
+            _U32.pack_into(mv, blk, NIL)
+            # A slice write: ``pack_into`` would NUL-pad the stale tail.
+            mv[blk + 4 : blk + 4 + len(tail)] = tail
+        except _BAD_OFFSET:
+            raise self._bad(blk) from None
+
+    def drain(self, first: int, length: int) -> bytes:
+        """Copy the ``length``-byte payload out of the chain at ``first``."""
+        mv = self._mv
+        unpack_from = self._blk.unpack_from
+        parts: list[bytes] = []
+        blk = first
+        try:
+            for _ in range(-(-length // self._bs)):
+                blk, chunk = unpack_from(mv, blk)
+                parts.append(chunk)
+        except _BAD_OFFSET:
+            raise self._bad(blk) from None
+        return b"".join(parts)[:length]
+
+    def walk(self, first: int) -> list[int]:
+        """The blocks of the chain at ``first``, in chain order."""
+        mv = self._mv
+        unpack_from = _U32.unpack_from
+        blocks: list[int] = []
+        blk = first
+        try:
+            while blk != NIL:
+                blocks.append(blk)
+                blk = unpack_from(mv, blk)[0]
+        except _BAD_OFFSET:
+            raise self._bad(blk) from None
+        return blocks
+
+    def free(self, head_off: int, blocks: list[int]) -> None:
+        """Push ``blocks`` one by one onto the list headed at ``head_off``.
+
+        The last block pushed ends up at the head, so a chain freed in
+        chain order comes back reversed.
+        """
+        mv = self._mv
+        pack_into = _U32.pack_into
+        head = _U32.unpack_from(mv, head_off)[0]
+        for blk in blocks:
+            pack_into(mv, blk, head)
+            head = blk
+        pack_into(mv, head_off, head)

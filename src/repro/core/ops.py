@@ -52,7 +52,7 @@ from .errors import (
     ProtocolViolationError,
     UnknownLNVCError,
 )
-from .freelist import fl_alloc, fl_free
+from .freelist import BlockChains, fl_alloc, fl_free
 from .layout import HDR, MPFConfig, SegmentLayout
 from .protocol import (
     ALLOC_LOCK,
@@ -64,7 +64,7 @@ from .protocol import (
     Protocol,
 )
 from .region import SharedRegion
-from .structs import BLK_NEXT, LNVC, MSG, RECV, SEND
+from .structs import LNVC, MSG, RECV, SEND
 from .transport import (
     ring_attach,
     ring_check,
@@ -189,6 +189,7 @@ class MPFView:
         "layout",
         "cfg",
         "costs",
+        "chains",
         "_acq",
         "_rel",
         "_wake",
@@ -230,6 +231,7 @@ class MPFView:
         self.layout = layout
         self.cfg: MPFConfig = layout.cfg
         self.costs = costs
+        self.chains = BlockChains(region, self.cfg.block_size)
         n = self.cfg.max_lnvcs
         self._acq = tuple(Acquire(FIRST_LNVC_LOCK + s) for s in range(n))
         self._rel = tuple(Release(FIRST_LNVC_LOCK + s) for s in range(n))
@@ -469,20 +471,11 @@ def _free_chain(view: MPFView, msg: int) -> int:
     Caller holds ``ALLOC_LOCK``.  Returns the number of blocks freed.
     """
     r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
-    nblk = 0
-    blk = u32(msg + _M_FIRST_BLK)
-    # Inlined fl_free: push each block onto the free list head.
-    head = u32(_H_FREE_BLK)
-    while blk != NIL:
-        nxt = u32(blk + BLK_NEXT)
-        set_u32(blk, head)
-        head = blk
-        blk = nxt
-        nblk += 1
-    set_u32(_H_FREE_BLK, head)
-    length = u32(msg + _M_LENGTH)
+    chains = view.chains
+    blocks = chains.walk(r.u32(msg + _M_FIRST_BLK))
+    chains.free(_H_FREE_BLK, blocks)
+    nblk = len(blocks)
+    length = r.u32(msg + _M_LENGTH)
     fl_free(r, _H_FREE_MSG, msg)
     r.add_u32(_H_LIVE_MSGS, -1)
     r.add_u32(_H_LIVE_BLOCKS, -nblk)
@@ -501,8 +494,7 @@ def _shard_alloc(view: MPFView, pid: int, nblk: int, blocks: list) -> OpGen:
     committed is rolled back (to its home shard) and False is returned.
     """
     r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
+    pop = view.chains.pop
     causal = view.causal
     heads = view._blk_heads
     nshards = len(heads)
@@ -515,14 +507,10 @@ def _shard_alloc(view: MPFView, pid: int, nblk: int, blocks: list) -> OpGen:
         s = (home + k) % nshards
         head_off = heads[s]
         yield view._shard_acq[s]
-        got = 0
-        blk = u32(head_off)
-        while taken + got < nblk and blk != NIL:
-            blocks.append(blk)
-            got += 1
-            blk = u32(blk + BLK_NEXT)
+        run = pop(head_off, nblk - taken)
+        got = len(run)
         if got:
-            set_u32(head_off, blk)
+            blocks.extend(run)
             r.add_u32(_H_LIVE_BLOCKS, got)
             taken += got
             if causal is not None:
@@ -554,11 +542,11 @@ def _shard_free(view: MPFView, blocks: list) -> OpGen:
     for b in blocks:
         by_shard.setdefault(lay.blk_shard(b), []).append(b)
     r = view.region
+    free = view.chains.free
     for s in sorted(by_shard):
         group = by_shard[s]
         yield view._shard_acq[s]
-        for b in group:
-            fl_free(r, heads[s], b)
+        free(heads[s], group)
         r.add_u32(_H_LIVE_BLOCKS, -len(group))
         yield view._shard_rel[s]
 
@@ -572,14 +560,9 @@ def _free_chain_sharded(view: MPFView, msg: int) -> OpGen:
     Returns the number of blocks freed.
     """
     r = view.region
-    u32 = r.u32
-    blocks: list[int] = []
-    blk = u32(msg + _M_FIRST_BLK)
-    while blk != NIL:
-        blocks.append(blk)
-        blk = u32(blk + BLK_NEXT)
+    blocks = view.chains.walk(r.u32(msg + _M_FIRST_BLK))
     yield from _shard_free(view, blocks)
-    length = u32(msg + _M_LENGTH)
+    length = r.u32(msg + _M_LENGTH)
     fl_free(r, _H_FREE_MSG, msg)
     r.add_u32(_H_LIVE_MSGS, -1)
     r.add_u32(_H_LIVE_BYTES, -length)
@@ -1035,11 +1018,11 @@ def message_send(
         yield from _release_and_raise(
             [ALLOC_LOCK], OutOfMessageMemoryError("message header pool exhausted")
         )
-    blocks: list[int] = []
     if view._blk_heads is not None:
         # Sharded pool: the allocator section covers only the header pop
         # and the message/byte counters; block pops move under the
         # per-shard locks (same total charge, split across sections).
+        blocks: list[int] = []
         r.add_u32(_H_LIVE_MSGS, 1)
         live = r.add_u32(_H_LIVE_BYTES, length)
         if live > r.u64(_H_HWM_LIVE_BYTES):
@@ -1060,13 +1043,12 @@ def message_send(
                     f"block pool exhausted ({nblk}-block message)"),
             )
     else:
-        # Pop the whole chain in one walk (the free list is only mutated on
-        # shortfall once the full count is known, so no rollback is needed).
-        blk = u32(_H_FREE_BLK)
-        while len(blocks) < nblk and blk != NIL:
-            blocks.append(blk)
-            blk = u32(blk + BLK_NEXT)
+        # Pop the whole chain in one walk; on shortfall the list is empty
+        # and re-pointing its head at the run undoes the pop.
+        blocks = view.chains.pop(_H_FREE_BLK, nblk)
         if len(blocks) < nblk:
+            if blocks:
+                set_u32(_H_FREE_BLK, blocks[0])
             fl_free(r, _H_FREE_MSG, hdr)
             if causal is not None:
                 causal.on_pool(_H_FREE_BLK, NIL)
@@ -1074,7 +1056,6 @@ def message_send(
                 [ALLOC_LOCK],
                 OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
             )
-        set_u32(_H_FREE_BLK, blk)
         if causal is not None:
             causal.on_pool_bulk(_H_FREE_BLK, nblk)
         r.add_u32(_H_LIVE_MSGS, 1)
@@ -1092,11 +1073,7 @@ def message_send(
     t_alloc = causal.clock() if causal is not None else 0.0
 
     # Phase 2: fill the private chain — outside every lock.
-    write = r.write
-    last = nblk - 1
-    for i, blk in enumerate(blocks):
-        set_u32(blk + BLK_NEXT, blocks[i + 1] if i < last else NIL)
-        write(blk + 4, data[i * bs : min((i + 1) * bs, length)])
+    view.chains.fill(blocks, data)
     yield Charge(
         Work(
             instrs=nblk * c.blk_fill + length * c.copy_byte,
@@ -1139,8 +1116,7 @@ def message_send(
             r.add_u32(_H_LIVE_BYTES, -length)
             yield from _release_and_raise([ALLOC_LOCK], exc)
         yield Acquire(ALLOC_LOCK)
-        for b in blocks:
-            fl_free(r, _H_FREE_BLK, b)
+        view.chains.free(_H_FREE_BLK, blocks)
         fl_free(r, _H_FREE_MSG, hdr)
         r.add_u32(_H_LIVE_MSGS, -1)
         r.add_u32(_H_LIVE_BLOCKS, -nblk)
@@ -1301,16 +1277,7 @@ def message_receive(
     yield view._rel[slot] if in_table else Release(lock)
 
     # Copy phase — concurrent with other receivers of the same message.
-    bs = view.cfg.block_size
-    read = r.read
-    parts: list[bytes] = []
-    blk, remaining = first, length
-    while blk != NIL and remaining > 0:
-        take = bs if remaining > bs else remaining
-        parts.append(read(blk + 4, take))
-        remaining -= take
-        blk = u32(blk + BLK_NEXT)
-    payload = b"".join(parts)
+    payload = view.chains.drain(first, length)
 
     yield Charge(Work(
         instrs=nblk * c.blk_drain + length * c.copy_byte,

@@ -39,7 +39,7 @@ class SharedRegion:
         length (``bytearray``, ``memoryview``, ``mmap``, shared memory).
     """
 
-    __slots__ = ("_mv", "size", "u32", "set_u32")
+    __slots__ = ("_mv", "size", "u32", "set_u32", "add_u32")
 
     def __init__(self, buf) -> None:
         mv = memoryview(buf).cast("B")
@@ -49,10 +49,11 @@ class SharedRegion:
         self.size = len(mv)
 
         # -- 32-bit words -------------------------------------------------
-        # ``u32`` / ``set_u32`` run millions of times per figure sweep.
-        # They are bound as per-instance closures over the memoryview
-        # rather than methods: a closure call skips the descriptor lookup
-        # and the ``self`` rebinding a bound method pays on every call.
+        # ``u32`` / ``set_u32`` / ``add_u32`` run millions of times per
+        # figure sweep.  They are bound as per-instance closures over the
+        # memoryview rather than methods: a closure call skips the
+        # descriptor lookup and the ``self`` rebinding a bound method pays
+        # on every call.
         unpack_from = _U32.unpack_from
         pack_into = _U32.pack_into
 
@@ -64,20 +65,21 @@ class SharedRegion:
             """Write ``value`` as a little-endian u32 at byte offset ``off``."""
             pack_into(mv, off, value & 0xFFFFFFFF)
 
+        def add_u32(off: int, delta: int) -> int:
+            """Add ``delta`` (may be negative) to the u32 at ``off``.
+
+            Returns the new value.  This is *not* atomic with respect to
+            other processes — callers must hold the lock that guards the
+            word, just as the C implementation serializes access with its
+            synchronization variables.
+            """
+            value = (unpack_from(mv, off)[0] + delta) & 0xFFFFFFFF
+            pack_into(mv, off, value)
+            return value
+
         self.u32 = u32
         self.set_u32 = set_u32
-
-    def add_u32(self, off: int, delta: int) -> int:
-        """Add ``delta`` (may be negative) to the u32 at ``off``.
-
-        Returns the new value.  This is *not* atomic with respect to other
-        processes — callers must hold the lock that guards the word, just
-        as the C implementation serializes access with its synchronization
-        variables.
-        """
-        value = (self.u32(off) + delta) & 0xFFFFFFFF
-        self.set_u32(off, value)
-        return value
+        self.add_u32 = add_u32
 
     # -- 64-bit words (statistics counters only) --------------------------
 
@@ -91,8 +93,8 @@ class SharedRegion:
 
     def add_u64(self, off: int, delta: int) -> int:
         """Add ``delta`` to the u64 at ``off`` (non-atomic; hold a lock)."""
-        value = (self.u64(off) + delta) & 0xFFFFFFFFFFFFFFFF
-        self.set_u64(off, value)
+        value = (_U64.unpack_from(self._mv, off)[0] + delta) & 0xFFFFFFFFFFFFFFFF
+        _U64.pack_into(self._mv, off, value)
         return value
 
     # -- raw bytes ---------------------------------------------------------
@@ -112,6 +114,8 @@ class SharedRegion:
 
     def fill(self, off: int, n: int, byte: int = 0) -> None:
         """Set ``n`` bytes starting at ``off`` to ``byte``."""
+        if off < 0 or off + n > self.size:
+            raise IndexError(f"fill [{off}, {off + n}) outside region of {self.size}")
         self._mv[off : off + n] = bytes([byte]) * n
 
     def release(self) -> None:

@@ -6,7 +6,7 @@ from repro.core import ops
 from repro.core.errors import UnknownLNVCError
 from repro.core.inspect import check_invariants, inspect_segment
 from repro.core.protocol import FCFS
-from repro.core.structs import LNVC
+from repro.core.structs import BLK_NEXT, LNVC, MSG
 from repro.core.ops import SLOT_BITS, decode_lnvc_id, encode_lnvc_id
 from repro.testing import DirectRunner, make_view
 
@@ -107,6 +107,19 @@ class TestBoundaryPayloads:
         r.run(ops.open_receive(v, 0, "q", FCFS))
         r.run(ops.message_send(v, 0, cid, b"x" * 50))
         assert r.run(ops.message_receive(v, 0, cid)) == b"x" * 50
+
+    def test_corrupt_block_link_raises_index_error(self, v, r):
+        """A block link past the segment end fails loudly, naming the
+        bad block offset, instead of reading garbage."""
+        cid = r.run(ops.open_send(v, 0, "q"))
+        r.run(ops.open_receive(v, 0, "q", FCFS))
+        r.run(ops.message_send(v, 0, cid, b"y" * 25))  # three blocks
+        msg = LNVC.get(v.region, v.layout.lnvc_off(decode_lnvc_id(cid)[0]), "fifo_head")
+        first = MSG.get(v.region, msg, "first_blk")
+        bad = v.region.size - 2
+        v.region.set_u32(first + BLK_NEXT, bad)
+        with pytest.raises(IndexError, match=str(bad)):
+            r.run(ops.message_receive(v, 0, cid))
 
 
 class TestSearchCosts:

@@ -104,3 +104,11 @@ def test_writes_visible_through_backing():
     r = SharedRegion(backing)
     r.write(0, b"xy")
     assert bytes(backing[:2]) == b"xy"
+
+
+@pytest.mark.parametrize("off,n", [(-8, 4), (14, 8)])
+def test_fill_out_of_bounds_raises(off, n):
+    r = SharedRegion(bytearray(16))
+    with pytest.raises(IndexError):
+        r.fill(off, n, 0xAB)
+    assert r.read(0, 16) == bytes(16)
