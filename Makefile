@@ -28,7 +28,6 @@ check:
 	$(PY) -m repro.check explore --scenario connect-churn --seeds 200
 	$(PY) -m repro.check explore --scenario freelist-churn --seeds 200
 	$(PY) -m repro.check explore --scenario mixed-protocol --seeds 200
-	$(PY) -m repro.check explore --scenario shard-steal --seeds 200
 	$(PY) -m repro.check explore --scenario ring-wrap --seeds 200
 	$(PY) -m repro.check explore --scenario ring-wrap --seeds 200 --policy dfs
 	$(PY) -m repro.check explore --scenario fcfs-race --seeds 200 --fault torn-send --expect-fail

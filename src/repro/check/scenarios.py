@@ -246,77 +246,6 @@ def _pool_oracle(results: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# shard-steal: sharded pool, steal-on-empty racing concurrent frees
-# ---------------------------------------------------------------------------
-
-_STEAL_SENDERS = 2
-_STEAL_MSGS = 4  # per sender
-#: Payload sized to span several blocks, so one allocation commits
-#: blocks from more than one shard whenever a steal happens mid-pop.
-_STEAL_PAYLOAD = 30
-
-
-def _steal_build(fault: str | None) -> list[Worker]:
-    total = _STEAL_SENDERS * _STEAL_MSGS
-
-    def receiver(env: Env):  # rank 0: drains, freeing blocks to home shards
-        data = yield from env.open_receive("data", Protocol.FCFS)
-        go = yield from env.open_send("go")
-        for _ in range(_STEAL_SENDERS):
-            yield from env.message_send(go, b"g")
-        got = []
-        for _ in range(total):
-            msg = yield from env.message_receive(data)
-            got.append(bytes(msg[:2]))
-        yield from env.close_receive(data)
-        yield from env.close_send(go)
-        return got
-
-    # Ranks 1 and 2 live on different home shards (pid % 2), so each
-    # sender first drains its own shard, then steals from the other —
-    # racing both the peer's allocations and the receiver's frees,
-    # which always land back on a block's *home* shard.
-    def sender(env: Env):
-        go = yield from env.open_receive("go", Protocol.FCFS)
-        yield from env.message_receive(go)
-        yield from env.close_receive(go)
-        data = yield from env.open_send("data")
-        pad = b"\0" * (_STEAL_PAYLOAD - 2)
-        retries = 0
-        for i in range(_STEAL_MSGS):
-            for _ in range(_POOL_RETRY_CAP):
-                try:
-                    yield from env.message_send(
-                        data, bytes([env.rank, i]) + pad)
-                    break
-                except OutOfMessageMemoryError:
-                    retries += 1
-                    yield from env.compute(instrs=10)
-            else:
-                raise RuntimeError("retry cap exceeded (livelocked schedule?)")
-        yield from env.close_send(data)
-        return retries
-
-    return [receiver] + [sender] * _STEAL_SENDERS
-
-
-def _steal_oracle(results: dict) -> list[str]:
-    out = []
-    got = sorted(results["p0"])
-    want = sorted(
-        bytes([rank, i])
-        for rank in range(1, 1 + _STEAL_SENDERS)
-        for i in range(_STEAL_MSGS)
-    )
-    if got != want:
-        out.append(
-            f"receiver saw {len(got)} payload prefixes, expected the exact "
-            f"multiset of {len(want)} sent across both shards"
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # mixed-protocol: FCFS and BROADCAST receivers on one circuit
 # ---------------------------------------------------------------------------
 
@@ -499,20 +428,6 @@ SCENARIOS: dict[str, Scenario] = {
                           message_pool_bytes=1 << 10),
             build=_pool_build,
             oracle=_pool_oracle,
-            faults=(),
-        ),
-        Scenario(
-            name="shard-steal",
-            doc=f"{_STEAL_SENDERS} senders on different home shards of a "
-                "2-shard free list exhaust their own shard and steal from "
-                "the other, racing the receiver's concurrent frees "
-                "(cross-shard conservation, steal-then-rollback)",
-            # 14 blocks across 2 shards of 7; 3-block messages, so the
-            # pool holds 4 in flight and every sender must steal.
-            cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=16,
-                          message_pool_bytes=196, freelist_shards=2),
-            build=_steal_build,
-            oracle=_steal_oracle,
             faults=(),
         ),
         Scenario(

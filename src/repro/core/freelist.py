@@ -123,11 +123,11 @@ class BlockChains:
     A partial last block is written and read only up to the payload's
     end, so the stale bytes past it stay as the previous owner left them.
 
-    No helper locks: callers hold ``ALLOC_LOCK`` (or a shard lock)
-    around :meth:`pop` and :meth:`free`, and :meth:`fill` /
-    :meth:`drain` touch only a chain the caller owns.  A link that
-    points outside the region raises :class:`IndexError` naming the bad
-    block offset, as the region's own accessors do.
+    No helper locks: callers hold ``ALLOC_LOCK`` around :meth:`pop`
+    and :meth:`free`, and :meth:`fill` / :meth:`drain` touch only a
+    chain the caller owns.  A link that points outside the region
+    raises :class:`IndexError` naming the bad block offset, as the
+    region's own accessors do.
     """
 
     __slots__ = ("_mv", "_size", "_bs", "_blk")

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .errors import MPFConfigError, RegionFormatError
 from .freelist import init_freelist
-from .protocol import FIRST_LNVC_LOCK, MAGIC, VERSION
+from .protocol import FIRST_LNVC_LOCK, MAGIC, SLOT_BITS, VERSION
 from .region import SharedRegion
 from .structs import (
     LNVC,
@@ -76,7 +76,8 @@ class MPFConfig:
     pinned explicitly for experiments.
     """
 
-    #: Maximum simultaneously live circuits (size of the LNVC table).
+    #: Maximum simultaneously live circuits (size of the LNVC table),
+    #: at most ``1 << SLOT_BITS``.
     max_lnvcs: int = 32
     #: Maximum participating processes.  Used to derive descriptor pools.
     max_processes: int = 32
@@ -116,19 +117,14 @@ class MPFConfig:
     #: the price of fixed-size slots — where free-list messages are only
     #: bounded by the block pool.
     ring_slot_bytes: int = 1024
-    #: Shards of the message block pool (the serving optimisation; see
-    #: docs/serving.md).  ``1`` — the default — is the paper's single
-    #: global free list under ``ALLOC_LOCK``, byte-identical to every
-    #: archived figure.  ``S > 1`` splits the block pool into ``S``
-    #: contiguous shards, each with its own head word and its own lock;
-    #: an allocator prefers shard ``pid % S`` and steals from the other
-    #: shards when its own runs dry.  Blocks always free back to their
-    #: *home* shard, so conservation is per-shard-summable.
-    freelist_shards: int = 1
 
     def __post_init__(self) -> None:
         if self.max_lnvcs < 1:
             raise MPFConfigError("max_lnvcs must be >= 1")
+        if self.max_lnvcs > 1 << SLOT_BITS:
+            raise MPFConfigError(
+                f"max_lnvcs must be <= {1 << SLOT_BITS}: LNVC ids keep "
+                f"the slot in {SLOT_BITS} bits")
         if self.max_processes < 1:
             raise MPFConfigError("max_processes must be >= 1")
         if self.block_size < 1:
@@ -152,11 +148,6 @@ class MPFConfig:
             raise MPFConfigError("ring_slots must be >= 2")
         if self.ring_slot_bytes < 1:
             raise MPFConfigError("ring_slot_bytes must be >= 1")
-        if self.freelist_shards < 1:
-            raise MPFConfigError("freelist_shards must be >= 1")
-        if self.freelist_shards > self.n_blocks:
-            raise MPFConfigError(
-                "freelist_shards exceeds the number of message blocks")
 
     @property
     def n_send(self) -> int:
@@ -196,19 +187,8 @@ class MPFConfig:
     @property
     def n_locks(self) -> int:
         """Locks the runtime must provide: global, allocator, one per
-        LNVC, one per extension slot, and — when the block pool is
-        sharded — one per shard (innermost in the locking order)."""
-        return (FIRST_LNVC_LOCK + self.max_lnvcs + self.ext_slots
-                + (self.freelist_shards if self.freelist_shards > 1 else 0))
-
-    def shard_lock(self, shard: int) -> int:
-        """Lock id guarding block-pool shard ``shard``.
-
-        Shard locks sit after the extension locks and are the innermost
-        tier of the locking order (``GLOBAL`` → circuit → ``ALLOC`` →
-        shard); at most one shard lock is ever held at a time.
-        """
-        return FIRST_LNVC_LOCK + self.max_lnvcs + self.ext_slots + shard
+        LNVC and one per extension slot."""
+        return FIRST_LNVC_LOCK + self.max_lnvcs + self.ext_slots
 
     @property
     def n_channels(self) -> int:
@@ -297,7 +277,6 @@ class SegmentLayout:
     ring_cur_base: int = field(init=False)
     ring_data_base: int = field(init=False)
     ring_stride: int = field(init=False)
-    shard_base: int = field(init=False)
     ext_base: int = field(init=False)
     total_size: int = field(init=False)
 
@@ -325,13 +304,6 @@ class SegmentLayout:
         off += cfg.n_rings * RING_READERS * RCUR.size
         object.__setattr__(self, "ring_data_base", off)
         off = _align(off + cfg.n_rings * cfg.ring_slots * self.ring_stride)
-        # Shard-head pool: one u32 head per extra block-pool shard.
-        # Shard 0 reuses the header's ``free_blk`` word, and the pool is
-        # zero-sized on unsharded segments, so those keep their
-        # historical layout byte-for-byte.
-        object.__setattr__(self, "shard_base", off)
-        if cfg.freelist_shards > 1:
-            off = _align(off + 4 * (cfg.freelist_shards - 1))
         object.__setattr__(self, "ext_base", off)
         off = _align(off + cfg.ext_bytes)
         object.__setattr__(self, "total_size", off)
@@ -360,42 +332,6 @@ class SegmentLayout:
             + slot * self.ring_stride
         )
 
-    @property
-    def shard_heads(self) -> tuple:
-        """Head-word offsets of every block-pool shard.
-
-        Shard 0 is the header's ``free_blk`` word (so unsharded segments
-        are unchanged); shards 1..S-1 live in the shard-head pool.
-        """
-        s = self.cfg.freelist_shards
-        if s <= 1:
-            return (HDR.u32["free_blk"],)
-        return (HDR.u32["free_blk"],) + tuple(
-            self.shard_base + 4 * k for k in range(s - 1)
-        )
-
-    def shard_counts(self) -> tuple:
-        """Blocks owned by each shard (contiguous ranges; remainder to
-        the low shards)."""
-        cfg = self.cfg
-        per, extra = divmod(cfg.n_blocks, cfg.freelist_shards)
-        return tuple(
-            per + (1 if k < extra else 0) for k in range(cfg.freelist_shards)
-        )
-
-    def blk_shard(self, off: int) -> int:
-        """Home shard of the block at byte offset ``off``."""
-        cfg = self.cfg
-        s = cfg.freelist_shards
-        if s <= 1:
-            return 0
-        i = (off - self.blk_base) // self.blk_stride
-        per, extra = divmod(cfg.n_blocks, s)
-        hi = extra * (per + 1)
-        if i < hi:
-            return i // (per + 1)
-        return extra + (i - hi) // per
-
 
 def format_region(region: SharedRegion, cfg: MPFConfig) -> SegmentLayout:
     """Initialize ``region`` as a fresh MPF segment for ``cfg``.
@@ -423,13 +359,7 @@ def format_region(region: SharedRegion, cfg: MPFConfig) -> SegmentLayout:
     init_freelist(region, HDR.u32["free_send"], layout.send_base, SEND.size, cfg.n_send)
     init_freelist(region, HDR.u32["free_recv"], layout.recv_base, RECV.size, cfg.n_recv)
     init_freelist(region, HDR.u32["free_msg"], layout.msg_base, MSG.size, cfg.max_messages)
-    if cfg.freelist_shards > 1:
-        base = layout.blk_base
-        for head, count in zip(layout.shard_heads, layout.shard_counts()):
-            init_freelist(region, head, base, layout.blk_stride, count)
-            base += count * layout.blk_stride
-    else:
-        init_freelist(region, HDR.u32["free_blk"], layout.blk_base, layout.blk_stride, cfg.n_blocks)
+    init_freelist(region, HDR.u32["free_blk"], layout.blk_base, layout.blk_stride, cfg.n_blocks)
     HDR.set(region, "n_rings", cfg.n_rings)
     init_freelist(
         region, HDR.u32["free_ring"], layout.ring_ctrl_base, RING.size, cfg.n_rings

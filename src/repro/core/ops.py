@@ -60,6 +60,7 @@ from .protocol import (
     GLOBAL_LOCK,
     NAME_MAX,
     NIL,
+    SLOT_BITS,
     MsgFlags,
     Protocol,
 )
@@ -92,10 +93,6 @@ __all__ = [
 
 OpGen = Generator[Effect, None, object]
 
-#: Bits of an LNVC identifier that address the table slot; the remaining
-#: high bits carry the slot's generation so identifiers from a deleted
-#: circuit are detected instead of silently aliasing a new one.
-SLOT_BITS = 10
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
 # Field offsets resolved once at import time.  The hot primitives
@@ -196,9 +193,6 @@ class MPFView:
         "_waiton",
         "_alloc_acq",
         "_alloc_rel",
-        "_blk_heads",
-        "_shard_acq",
-        "_shard_rel",
         "_send_fixed_work",
         "_send_fixed",
         "_recv_fixed",
@@ -239,24 +233,6 @@ class MPFView:
         self._waiton = tuple(WaitOn(s, FIRST_LNVC_LOCK + s) for s in range(n))
         self._alloc_acq = Acquire(ALLOC_LOCK)
         self._alloc_rel = Release(ALLOC_LOCK)
-        # Sharded block pool (serving optimisation; off by default).
-        # ``_blk_heads is None`` selects the paper's single-list code
-        # paths untouched; a tuple of per-shard head offsets selects the
-        # sharded allocator with per-shard locks (innermost tier of the
-        # locking order, at most one held at a time).
-        shards = self.cfg.freelist_shards
-        if shards > 1:
-            self._blk_heads = layout.shard_heads
-            self._shard_acq = tuple(
-                Acquire(self.cfg.shard_lock(s)) for s in range(shards)
-            )
-            self._shard_rel = tuple(
-                Release(self.cfg.shard_lock(s)) for s in range(shards)
-            )
-        else:
-            self._blk_heads = None
-            self._shard_acq = ()
-            self._shard_rel = ()
         self._send_fixed_work = Work(instrs=costs.send_fixed, label="send-fixed")
         self._send_fixed = Charge(self._send_fixed_work)
         self._recv_fixed = Charge(Work(instrs=costs.recv_fixed, label="recv-fixed"))
@@ -483,92 +459,6 @@ def _free_chain(view: MPFView, msg: int) -> int:
     return nblk
 
 
-def _shard_alloc(view: MPFView, pid: int, nblk: int, blocks: list) -> OpGen:
-    """Pop ``nblk`` blocks from the sharded pool into ``blocks``.
-
-    Prefers the caller's home shard (``pid % S``) and steals from the
-    other shards round-robin when it runs dry.  Each shard is visited
-    under its own lock; the live-block counter moves with each pop in
-    the same scheduler step, so pool conservation holds at every yield
-    point.  Returns True on success; on shortfall every pop already
-    committed is rolled back (to its home shard) and False is returned.
-    """
-    r = view.region
-    pop = view.chains.pop
-    causal = view.causal
-    heads = view._blk_heads
-    nshards = len(heads)
-    c_alloc = view.costs.blk_alloc
-    home = pid % nshards
-    taken = 0
-    for k in range(nshards):
-        if taken == nblk:
-            break
-        s = (home + k) % nshards
-        head_off = heads[s]
-        yield view._shard_acq[s]
-        run = pop(head_off, nblk - taken)
-        got = len(run)
-        if got:
-            blocks.extend(run)
-            r.add_u32(_H_LIVE_BLOCKS, got)
-            taken += got
-            if causal is not None:
-                causal.on_pool_bulk(head_off, got)
-            yield Charge(Work(instrs=got * c_alloc, label="send-alloc"))
-        elif causal is not None:
-            causal.on_pool(head_off, NIL)
-        yield view._shard_rel[s]
-    if taken == nblk:
-        return True
-    yield from _shard_free(view, blocks)
-    del blocks[:]
-    return False
-
-
-def _shard_free(view: MPFView, blocks: list) -> OpGen:
-    """Push ``blocks`` back to their home shards.
-
-    Groups by home shard and visits each group under that shard's lock
-    (ascending order, one at a time); the live-block counter moves with
-    each group in the same scheduler step.  Safe to call with or
-    without ``ALLOC_LOCK`` held — shard locks are strictly inner.
-    """
-    if not blocks:
-        return
-    lay = view.layout
-    heads = view._blk_heads
-    by_shard: dict = {}
-    for b in blocks:
-        by_shard.setdefault(lay.blk_shard(b), []).append(b)
-    r = view.region
-    free = view.chains.free
-    for s in sorted(by_shard):
-        group = by_shard[s]
-        yield view._shard_acq[s]
-        free(heads[s], group)
-        r.add_u32(_H_LIVE_BLOCKS, -len(group))
-        yield view._shard_rel[s]
-
-
-def _free_chain_sharded(view: MPFView, msg: int) -> OpGen:
-    """Sharded twin of :func:`_free_chain` (caller holds ``ALLOC_LOCK``).
-
-    Blocks go back to their home shards under the per-shard locks
-    (consistent with the ALLOC → shard order); the header free and the
-    message/byte counters stay under the caller's ``ALLOC_LOCK``.
-    Returns the number of blocks freed.
-    """
-    r = view.region
-    blocks = view.chains.walk(r.u32(msg + _M_FIRST_BLK))
-    yield from _shard_free(view, blocks)
-    length = r.u32(msg + _M_LENGTH)
-    fl_free(r, _H_FREE_MSG, msg)
-    r.add_u32(_H_LIVE_MSGS, -1)
-    r.add_u32(_H_LIVE_BYTES, -length)
-    return len(blocks)
-
-
 def _reap_head(view: MPFView, base: int) -> OpGen:
     """Unlink and free retired messages at the FIFO head.
 
@@ -613,12 +503,8 @@ def _reap_head(view: MPFView, base: int) -> OpGen:
             depth -= 1
             causal.on_free(u32(msg + _M_SENDER), slot, gen,
                            u32(msg + _M_SEQNO), u32(msg + _M_LENGTH), depth)
-    if view._blk_heads is None:
-        for msg in doomed:
-            nblk += _free_chain(view, msg)
-    else:
-        for msg in doomed:
-            nblk += yield from _free_chain_sharded(view, msg)
+    for msg in doomed:
+        nblk += _free_chain(view, msg)
     yield view._alloc_rel
     yield Charge(
         Work(instrs=len(doomed) * c.msg_discard + nblk * c.blk_free, label="reap")
@@ -661,12 +547,8 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
                 causal.on_free(MSG.get(r, m, "sender"), slot, cur_gen,
                                MSG.get(r, m, "seqno"),
                                MSG.get(r, m, "length"), depth, discard=1)
-        if view._blk_heads is None:
-            for m in msgs:
-                nblk += _free_chain(view, m)
-        else:
-            for m in msgs:
-                nblk += yield from _free_chain_sharded(view, m)
+        for m in msgs:
+            nblk += _free_chain(view, m)
         yield Release(ALLOC_LOCK)
     if LNVC.get(r, base, "transport"):
         # Ring circuits have no FIFO to discard (msgs is empty above);
@@ -1018,58 +900,33 @@ def message_send(
         yield from _release_and_raise(
             [ALLOC_LOCK], OutOfMessageMemoryError("message header pool exhausted")
         )
-    if view._blk_heads is not None:
-        # Sharded pool: the allocator section covers only the header pop
-        # and the message/byte counters; block pops move under the
-        # per-shard locks (same total charge, split across sections).
-        blocks: list[int] = []
-        r.add_u32(_H_LIVE_MSGS, 1)
-        live = r.add_u32(_H_LIVE_BYTES, length)
-        if live > r.u64(_H_HWM_LIVE_BYTES):
-            r.set_u64(_H_HWM_LIVE_BYTES, live)
-        live_msgs = u32(_H_LIVE_MSGS)
-        if live_msgs > r.u64(_H_HWM_LIVE_MSGS):
-            r.set_u64(_H_HWM_LIVE_MSGS, live_msgs)
-        yield Charge(Work(instrs=c.blk_alloc, label="send-alloc"))
-        yield view._alloc_rel
-        if not (yield from _shard_alloc(view, pid, nblk, blocks)):
-            yield view._alloc_acq
-            fl_free(r, _H_FREE_MSG, hdr)
-            r.add_u32(_H_LIVE_MSGS, -1)
-            r.add_u32(_H_LIVE_BYTES, -length)
-            yield from _release_and_raise(
-                [ALLOC_LOCK],
-                OutOfMessageMemoryError(
-                    f"block pool exhausted ({nblk}-block message)"),
-            )
-    else:
-        # Pop the whole chain in one walk; on shortfall the list is empty
-        # and re-pointing its head at the run undoes the pop.
-        blocks = view.chains.pop(_H_FREE_BLK, nblk)
-        if len(blocks) < nblk:
-            if blocks:
-                set_u32(_H_FREE_BLK, blocks[0])
-            fl_free(r, _H_FREE_MSG, hdr)
-            if causal is not None:
-                causal.on_pool(_H_FREE_BLK, NIL)
-            yield from _release_and_raise(
-                [ALLOC_LOCK],
-                OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
-            )
+    # Pop the whole chain in one walk; on shortfall the list is empty
+    # and re-pointing its head at the run undoes the pop.
+    blocks = view.chains.pop(_H_FREE_BLK, nblk)
+    if len(blocks) < nblk:
+        if blocks:
+            set_u32(_H_FREE_BLK, blocks[0])
+        fl_free(r, _H_FREE_MSG, hdr)
         if causal is not None:
-            causal.on_pool_bulk(_H_FREE_BLK, nblk)
-        r.add_u32(_H_LIVE_MSGS, 1)
-        live_blk = r.add_u32(_H_LIVE_BLOCKS, nblk)
-        if view.timeline is not None:
-            view.timeline.tap_pool(live_blk)
-        live = r.add_u32(_H_LIVE_BYTES, length)
-        if live > r.u64(_H_HWM_LIVE_BYTES):
-            r.set_u64(_H_HWM_LIVE_BYTES, live)
-        live_msgs = u32(_H_LIVE_MSGS)
-        if live_msgs > r.u64(_H_HWM_LIVE_MSGS):
-            r.set_u64(_H_HWM_LIVE_MSGS, live_msgs)
-        yield Charge(Work(instrs=(nblk + 1) * c.blk_alloc, label="send-alloc"))
-        yield view._alloc_rel
+            causal.on_pool(_H_FREE_BLK, NIL)
+        yield from _release_and_raise(
+            [ALLOC_LOCK],
+            OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
+        )
+    if causal is not None:
+        causal.on_pool_bulk(_H_FREE_BLK, nblk)
+    r.add_u32(_H_LIVE_MSGS, 1)
+    live_blk = r.add_u32(_H_LIVE_BLOCKS, nblk)
+    if view.timeline is not None:
+        view.timeline.tap_pool(live_blk)
+    live = r.add_u32(_H_LIVE_BYTES, length)
+    if live > r.u64(_H_HWM_LIVE_BYTES):
+        r.set_u64(_H_HWM_LIVE_BYTES, live)
+    live_msgs = u32(_H_LIVE_MSGS)
+    if live_msgs > r.u64(_H_HWM_LIVE_MSGS):
+        r.set_u64(_H_HWM_LIVE_MSGS, live_msgs)
+    yield Charge(Work(instrs=(nblk + 1) * c.blk_alloc, label="send-alloc"))
+    yield view._alloc_rel
     t_alloc = causal.clock() if causal is not None else 0.0
 
     # Phase 2: fill the private chain — outside every lock.
@@ -1108,13 +965,6 @@ def message_send(
             view._send_cache[(slot, pid)] = (sd, steps, gen, epoch)
     except (UnknownLNVCError, NotConnectedError) as exc:
         yield Release(lock)
-        if view._blk_heads is not None:
-            yield from _shard_free(view, blocks)
-            yield Acquire(ALLOC_LOCK)
-            fl_free(r, _H_FREE_MSG, hdr)
-            r.add_u32(_H_LIVE_MSGS, -1)
-            r.add_u32(_H_LIVE_BYTES, -length)
-            yield from _release_and_raise([ALLOC_LOCK], exc)
         yield Acquire(ALLOC_LOCK)
         view.chains.free(_H_FREE_BLK, blocks)
         fl_free(r, _H_FREE_MSG, hdr)

@@ -22,6 +22,7 @@ __all__ = [
     "GLOBAL_LOCK",
     "ALLOC_LOCK",
     "FIRST_LNVC_LOCK",
+    "SLOT_BITS",
     "MsgFlags",
 ]
 
@@ -65,6 +66,12 @@ ALLOC_LOCK = 1
 #: Index of the first per-LNVC lock; LNVC slot ``i`` uses lock
 #: ``FIRST_LNVC_LOCK + i``.
 FIRST_LNVC_LOCK = 2
+
+#: Bits of an LNVC identifier that address the table slot; the remaining
+#: high bits carry the slot's generation so identifiers from a deleted
+#: circuit are detected instead of silently aliasing a new one.  It
+#: bounds ``MPFConfig.max_lnvcs`` at ``1 << SLOT_BITS``.
+SLOT_BITS = 10
 
 
 class MsgFlags(enum.IntFlag):

@@ -1,10 +1,10 @@
 """``python -m repro.bench serve`` — the open-loop serving benchmark.
 
-Sweeps offered load over three configurations of the same service shape
-(unbatched baseline, send batching, batching + sharded free list),
-prints the SLO table with detected saturation knees, and optionally
-archives the SLO JSON document, Prometheus metrics, and the message
-flow graph of a causally-traced knee point::
+Sweeps offered load over two configurations of the same service shape
+(unbatched baseline and send batching), prints the SLO table with
+detected saturation knees, and optionally archives the SLO JSON
+document, Prometheus metrics, and the message flow graph of a
+causally-traced knee point on the batched configuration::
 
     python -m repro.bench serve                     # full sweep (sim)
     python -m repro.bench serve --quick             # CI-sized sweep
@@ -31,7 +31,7 @@ from .topology import ServeShape
 __all__ = ["serve_main"]
 
 #: Sweep presets: (loads in aggregate requests/s, schedule seconds).
-#: Sized so the three-config sweep pushes >1M MPF messages through the
+#: Sized so the two-config sweep pushes >1M MPF messages through the
 #: simulator (the unbatched baseline dominates the message count).
 FULL_LOADS = (100.0, 200.0, 300.0, 400.0, 500.0, 700.0, 900.0, 1100.0,
               1300.0)
@@ -39,22 +39,23 @@ FULL_DURATION = 120.0
 QUICK_LOADS = (60.0, 200.0, 400.0)
 QUICK_DURATION = 2.0
 
-#: The three A/B configurations every sweep reports.
+#: The two A/B configurations every sweep reports.
 CONFIG_BUILDERS = {
     "baseline": lambda s: s,
     "batched": lambda s: s.with_load_features(batch=8),
-    "batched+sharded": lambda s: s.with_load_features(batch=8, shards=8),
 }
 
 
 def _parse_loads(text: str) -> tuple[float, ...]:
+    """Parse ``R1,R2,...`` into ascending loads with duplicates dropped
+    (the SLO document and knee detection need sorted points)."""
     try:
         loads = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad load list {text!r}")
     if not loads or any(x <= 0 for x in loads):
         raise argparse.ArgumentTypeError("loads must be positive numbers")
-    return loads
+    return tuple(sorted(set(loads)))
 
 
 def _sends_per_window(timeline) -> list[tuple[float, float]]:
@@ -116,7 +117,7 @@ def serve_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench serve",
         description="Open-loop serving sweep: goodput and SLO latency vs "
-        "offered load, baseline vs batched vs batched+sharded.",
+        "offered load, baseline vs batched.",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -223,7 +224,7 @@ def serve_main(argv: list[str]) -> int:
         probe_rec = None
     try:
         point, rec = run_point(
-            configs["batched+sharded"], probe_rate, probe_n, seed=args.seed,
+            configs["batched"], probe_rate, probe_n, seed=args.seed,
             runtime=args.runtime, causal=True, recorder=probe_rec)
     finally:
         if server is not None:

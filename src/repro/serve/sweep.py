@@ -2,8 +2,8 @@
 
 :func:`run_point` runs one topology at one offered load and reduces it
 to an SLO point; :func:`run_sweep` sweeps loads for several
-configurations (baseline vs batched vs batched+sharded) and assembles
-the :class:`~repro.serve.slo.SLOReport`.  Point measurement reuses the
+configurations (baseline vs batched) and assembles the
+:class:`~repro.serve.slo.SLOReport`.  Point measurement reuses the
 figure harness's :func:`~repro.bench.harness.run_series`, so ``--jobs``
 parallelism — one deterministic simulation per pool worker, results
 reassembled in sweep order — behaves exactly like the figure sweeps,

@@ -18,10 +18,8 @@ new primitives, just an opinionated wiring of the paper's eight.
 Capacity anatomy (defaults, simulated Balance):  request batches cost
 the client ``send_fixed + nblk·(blk_fill + copy)`` instructions, each
 frontend pays a receive and a forward, workers add ``service_instrs``
-per request, and every hop round-trips the shared block pool.  With
-batching amortising the fixed costs, the binding constraint at the
-knee becomes the **allocator lock** — which is exactly the regime the
-sharded free list (``freelist_shards``) exists to relieve.
+per request, and every hop round-trips the shared block pool, the
+paper's one free list under ``ALLOC_LOCK``.
 """
 
 from __future__ import annotations
@@ -70,8 +68,6 @@ class ServeShape:
     policy: str = "shed"
     #: Admission queue bound, in batches, per client.
     queue_cap: int = 32
-    #: Free-list shards for the run's :class:`MPFConfig` (1 = classic).
-    freelist_shards: int = 1
     #: Backoff before retrying a refused send, seconds.
     backoff_seconds: float = 0.002
     #: Shared block pool budget, in request batches (sizes the config).
@@ -99,15 +95,9 @@ class ServeShape:
         """Data circuits the topology opens (excluding barrier gates)."""
         return self.frontends + self.workers + 1
 
-    def with_load_features(self, *, batch: int | None = None,
-                           shards: int | None = None) -> "ServeShape":
-        """Clone with batching/sharding toggled (A/B sweeps)."""
-        out = self
-        if batch is not None:
-            out = replace(out, batch=batch)
-        if shards is not None:
-            out = replace(out, freelist_shards=shards)
-        return out
+    def with_load_features(self, *, batch: int | None = None) -> "ServeShape":
+        """Clone with batching toggled (A/B sweeps)."""
+        return self if batch is None else replace(self, batch=batch)
 
 
 def serve_config(shape: ServeShape) -> MPFConfig:
@@ -123,10 +113,6 @@ def serve_config(shape: ServeShape) -> MPFConfig:
     rep_batch = batch_bytes(shape.batch, shape.reply_bytes)
     # Gate circuits (two barriers can coexist) plus slack.
     max_lnvcs = shape.circuits + 8
-    if max_lnvcs > 1024:
-        raise ValueError(
-            f"shape needs {max_lnvcs} circuits; the segment caps LNVC "
-            "slots at 1024 (SLOT_BITS) — shrink the tiers")
     # Request budget plus fan-in headroom: a few replies per worker
     # must always fit even when requests saturate their budget.
     pool_bytes = (shape.pool_batches * (req_batch + 64)
@@ -139,7 +125,6 @@ def serve_config(shape: ServeShape) -> MPFConfig:
         # fan-in replies must hit the same backpressure as requests.
         max_messages=pool_bytes // 10 + 128,
         message_pool_bytes=pool_bytes,
-        freelist_shards=shape.freelist_shards,
     )
 
 

@@ -61,13 +61,10 @@ def _replay(view) -> str:
 
 
 SINGLE_LIST = "bfccbe2502f7beb8a6b68bfdcf3eed16fb1fdc5a45dabdbcfe1071eec32c32be"
-FOUR_SHARDS = "d4aa6e23b8521ea80c4fab48257c3c57ae6b0f6ad82f1f2c177f37f8a6f990e6"
 
 
 @pytest.mark.parametrize(
-    "overrides,digest",
-    [({}, SINGLE_LIST), ({"freelist_shards": 4}, FOUR_SHARDS)],
-    ids=["single-list", "4-shards"],
+    "overrides,digest", [({}, SINGLE_LIST)], ids=["single-list"],
 )
 def test_region_bytes_match_per_block_copies(overrides, digest):
     """The region digest equals the one the per-block loops produced.

@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import MPFConfigError, RegionFormatError
 from repro.core.freelist import fl_count
 from repro.core.layout import HDR, MPFConfig, SegmentLayout, check_region, format_region
-from repro.core.protocol import MAGIC, VERSION
+from repro.core.protocol import MAGIC, SLOT_BITS, VERSION
 from repro.core.region import SharedRegion
 from repro.core.structs import LNVC, MSG, RECV, SEND, block_stride
 
@@ -30,6 +30,9 @@ class TestConfigValidation:
             dict(max_messages=0),
             dict(send_descriptors=-1),
             dict(message_pool_bytes=4),
+            # LNVC ids keep the slot in SLOT_BITS bits; one slot more
+            # would alias slot 0 of the next generation.
+            dict(max_lnvcs=(1 << SLOT_BITS) + 1),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -25,8 +25,8 @@ class TestShape:
             ServeShape(reply_bytes=8)  # smaller than the request record
 
     def test_with_load_features_clones(self):
-        shape = SMALL.with_load_features(batch=8, shards=4)
-        assert (shape.batch, shape.freelist_shards) == (8, 4)
+        shape = SMALL.with_load_features(batch=8)
+        assert shape.batch == 8
         assert SMALL.batch == 1  # original untouched
         assert shape.clients == SMALL.clients
 
@@ -38,11 +38,6 @@ class TestConfig:
         # max_messages > n_blocks means header exhaustion is unreachable
         # and backpressure always comes from the block pool.
         assert cfg.max_messages > cfg.n_blocks
-
-    def test_sharding_passthrough(self):
-        cfg = serve_config(SMALL.with_load_features(shards=8))
-        assert cfg.freelist_shards == 8
-        assert serve_config(SMALL).freelist_shards == 1
 
     def test_machine_scales_cpus_and_disables_paging(self):
         big = ServeShape(clients=16, frontends=16, workers=16)
@@ -67,11 +62,6 @@ class TestEndToEnd:
         # Batching amortizes per-message overhead: fewer MPF messages
         # for the same logical work.
         assert b["mpf_messages"] < a["mpf_messages"]
-
-    def test_sharded_run_is_conserving_and_complete(self):
-        sharded = SMALL.with_load_features(batch=4, shards=4)
-        point, _ = run_point(sharded, rate=150.0, n_requests=300)
-        assert point["completed"] == 300
 
     def test_poisson_schedule_reproducible_across_runtimes(self):
         # The seeded arrival schedule is generated identically for every
